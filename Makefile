@@ -31,13 +31,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Allocation regression guard for the interned hot path: the hit-heavy
-# steady state (cached spec repeats against a warm Manager) must run
-# allocation-free. A fixed iteration count keeps the run cheap and
+# steady state (cached spec repeats against a warm cache) must run
+# allocation-free, both on the serial Manager and on the
+# ConcurrentManager the server runs. A fixed iteration count keeps the run cheap and
 # deterministic; the guard fails the build the moment any per-request
 # allocation sneaks back onto the hit path.
 bench-guard:
-	$(GO) test -run '^$$' -bench '^BenchmarkManagerSerial$$/hit-heavy' -benchmem -benchtime 2000x . \
-		| awk '/hit-heavy/ { allocs = $$(NF-1); print; if (allocs + 0 != 0) { print "bench-guard: hit path allocates " allocs " allocs/op, want 0"; exit 1 } found = 1 } END { if (!found) { print "bench-guard: hit-heavy benchmark did not run"; exit 1 } }'
+	$(GO) test -run '^$$' -bench '^BenchmarkManager(Serial|Parallel)$$/^hit-heavy$$' -benchmem -benchtime 2000x . \
+		| awk '/hit-heavy/ { allocs = $$(NF-1); print; if (allocs + 0 != 0) { print "bench-guard: " $$1 " allocates " allocs " allocs/op, want 0"; bad = 1; exit 1 } found++ } END { if (bad) exit 1; if (found != 2) { print "bench-guard: ran " found + 0 " of the 2 hit-heavy benchmarks"; exit 1 } }'
 
 # Brief fuzzing pass over every fuzz target. Patterns are anchored:
 # -fuzz is a regex, and an unanchored FuzzParse would also match
@@ -53,18 +54,16 @@ fuzz:
 	$(GO) test ./internal/persist -fuzz '^FuzzWALDecode$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzInternRoundTrip$$' -fuzztime 30s
 	$(GO) test ./internal/spec -fuzz '^FuzzBitsetJaccard$$' -fuzztime 30s
-	$(GO) test ./internal/core -fuzz '^FuzzShardRoute$$' -fuzztime 30s
 
 # Short-budget invariant harness for every PR: the deterministic
-# simulation suites (differential fast-vs-reference, unsharded, and
-# sharded) and scaled-down soaks under the race detector, the mutant
-# self-test (each of the twelve seeded bugs — six Algorithm 1 clauses,
-# the shard-routing and budget-balancing mutants, the three fast-path
-# mutants intern/popcount/lshmiss, plus the HA epoch-fencing mutant
-# staleepoch — must be caught reproducibly; the fast-path three within
-# the differential suite's 900 requests, staleepoch within the HA
-# stage's first lease isolation), and one CLI chaos pass.
-# `landlord-check sim` runs the sharded suite too.
+# simulation suites (differential fast-vs-reference and the in-memory
+# suite) and scaled-down soaks under the race detector, the mutant
+# self-test (each of the ten seeded bugs — six Algorithm 1 clauses,
+# the three fast-path mutants intern/popcount/lshmiss, plus the HA
+# epoch-fencing mutant staleepoch — must be caught reproducibly; the
+# fast-path three within the differential suite's 900 requests,
+# staleepoch within the HA stage's first lease isolation), and one CLI
+# chaos pass.
 check:
 	$(GO) test -race -short -count=1 ./internal/check
 	$(GO) test -run 'TestMutants|TestMutantFailure' -count=1 ./internal/check

@@ -10,13 +10,11 @@
 //	landlord-check chaos    -duration 10m [-seed 0] [-trace-dump path]
 //
 // sim runs the canonical deterministic suite — two in-memory
-// simulations, the sharded-cache suite (per-shard oracles, route and
-// budget audits), plus a persistent chaos run with checkpoints, prune
+// simulations plus a persistent chaos run with checkpoints, prune
 // passes, injected filesystem faults and crash/recovery cycles — under
 // one seed. soak hammers one cache from many goroutines with injected
-// persist faults (-shards > 1 soaks the sharded core with audited
-// rebalances); run the binary built with -race for full effect. netchaos drives a real HTTP server through a
-// fault-injecting transport (resets, truncation, latency, blackholes)
+// persist faults; run the binary built with -race for full effect.
+// netchaos drives a real HTTP server through a fault-injecting transport (resets, truncation, latency, blackholes)
 // on top of disk faults and crashes, auditing the acked-request,
 // shed, and degraded-mode invariants. tracesim runs the deterministic
 // span-tracing coverage harness: a serially driven HTTP server whose
@@ -87,8 +85,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: landlord-check <sim|soak|netchaos|tracesim|fleetchaos|hachaos|chaos> [flags]
 
-  sim      -seed N [-steps N]               deterministic suite (incl. sharded) + persistent chaos run
-  soak     -seed N [-requests N] [-workers N] [-shards N]  concurrent soak with injected persist faults
+  sim      -seed N [-steps N]               deterministic suite + persistent chaos run
+  soak     -seed N [-requests N] [-workers N]  concurrent soak with injected persist faults
   netchaos -seed N [-steps N] [-trace-dump P]  HTTP server under network + disk chaos
   tracesim -seed N [-steps N] [-trace-dump P]  deterministic span-trace coverage + replay audit
   fleetchaos -seed N [-steps N] [-agents N]    master/agent fleet under partitions + master kills
@@ -106,16 +104,6 @@ func suite(seed int64, steps int) error {
 			return f
 		}
 		report(cfg, rep)
-	}
-	for _, cfg := range check.ShardSuite(seed) {
-		rep, f := check.RunShardSim(cfg)
-		if f != nil {
-			return f
-		}
-		fmt.Printf("shardsim seed=%d steps=%d shards=%d alpha=%.2f: hits=%d merges=%d inserts=%d rebalances=%d evicted=%d state=%s\n",
-			cfg.Seed, rep.Steps, cfg.Shards, cfg.Alpha,
-			rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Inserts,
-			rep.Rebalances, rep.Evicted, rep.StateHash[:12])
 	}
 	dir, err := os.MkdirTemp("", "landlord-check-")
 	if err != nil {
@@ -154,28 +142,27 @@ func runSoak(args []string) error {
 	seed := fs.Int64("seed", 1, "soak seed")
 	requests := fs.Int("requests", 50000, "total requests across all workers")
 	workers := fs.Int("workers", 8, "concurrent request goroutines")
-	shards := fs.Int("shards", 1, "cache shards (>1 soaks the sharded core with audited rebalances)")
 	fs.Parse(args)
-	return soak(*seed, *requests, *workers, *shards)
+	return soak(*seed, *requests, *workers)
 }
 
-func soak(seed int64, requests, workers, shards int) error {
+func soak(seed int64, requests, workers int) error {
 	dir, err := os.MkdirTemp("", "landlord-soak-")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	cfg := check.SoakConfig{
-		Seed: seed, Requests: requests, Workers: workers, Shards: shards,
+		Seed: seed, Requests: requests, Workers: workers,
 		Alpha: 0.6, CapacityFrac: 0.3,
 		Dir: dir, Faults: true, MaintainEvery: 200,
 	}
 	rep, err := check.RunSoak(cfg)
 	if err != nil {
-		return fmt.Errorf("soak seed=%d shards=%d: %w", seed, shards, err)
+		return fmt.Errorf("soak seed=%d: %w", seed, err)
 	}
-	fmt.Printf("soak seed=%d requests=%d workers=%d shards=%d: hits=%d merges=%d splits=%d injected=%d images=%d\n",
-		seed, requests, workers, shards, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Splits,
+	fmt.Printf("soak seed=%d requests=%d workers=%d: hits=%d merges=%d splits=%d injected=%d images=%d\n",
+		seed, requests, workers, rep.Stats.Hits, rep.Stats.Merges, rep.Stats.Splits,
 		rep.Injected, rep.Images)
 	return nil
 }
@@ -336,9 +323,7 @@ func runChaos(args []string) error {
 		if err := suite(s, 0); err != nil {
 			return err
 		}
-		// Rotate the shard count with the seed, so a long chaos run
-		// covers the unsharded core and several sharded geometries.
-		if err := soak(s, 20000, 8, 1+int(s%4)); err != nil {
+		if err := soak(s, 20000, 8); err != nil {
 			return err
 		}
 		if err := netchaos(s, 0, *dump); err != nil {

@@ -110,7 +110,6 @@ func main() {
 		addr        = flag.String("addr", "", "listen address (overrides config)")
 		alpha       = flag.Float64("alpha", -1, "merge threshold (overrides config)")
 		capacityGB  = flag.Float64("capacity-gb", -1, "cache capacity in GB, 0 = unlimited (overrides config)")
-		cacheShards = flag.Int("cache-shards", 0, "independently locked cache shards, >= 1 (overrides config)")
 		repoSeed    = flag.Int64("repo-seed", 0, "seed for the synthetic repository (overrides config)")
 		repoFile    = flag.String("repo-file", "", "load the repository from this JSONL file (overrides config)")
 		stateDir    = flag.String("state-dir", "", "durable state directory: WAL + checkpoints (overrides config)")
@@ -148,9 +147,6 @@ func main() {
 	}
 	if *capacityGB >= 0 {
 		site.CapacityGB = *capacityGB
-	}
-	if *cacheShards != 0 {
-		site.CacheShards = cacheShards // Validate rejects counts < 1
 	}
 	if *repoSeed != 0 {
 		site.RepoSeed = *repoSeed
@@ -307,9 +303,7 @@ func main() {
 
 	// Runtime metrics (goroutines, heap, GC pauses, uptime) are polled
 	// on the maintenance cadence rather than at scrape time, so a slow
-	// collector can never stall /metrics. The poller always runs — and
-	// on sharded sites the eviction balancer rides the same ticker, so
-	// budgets track load even when no prune schedule is configured; the
+	// collector can never stall /metrics. The poller always runs; the
 	// prune-driven maintenance pass below stays config-gated.
 	runtimeMetrics := telemetry.NewRuntimeCollector(srv.Registry())
 	go func() {
@@ -322,12 +316,6 @@ func main() {
 				return
 			case <-ticker.C:
 				runtimeMetrics.Poll()
-				if site.Shards() > 1 {
-					if bal := srv.RebalanceNow(); bal.LastFreed > 0 {
-						log.Printf("landlordd: rebalance shrank hot shards by %s (pass %d)",
-							stats.FormatBytes(bal.LastFreed), bal.Rebalances)
-					}
-				}
 			}
 		}
 	}()
@@ -368,8 +356,8 @@ func main() {
 		}()
 	}
 
-	log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, cache_shards=%d, pprof=%v)",
-		repo.Len(), stats.FormatBytes(repo.TotalSize()), ln.Addr(), *site.Alpha, site.Shards(), *pprofOn)
+	log.Printf("landlordd: serving %d-package repository (%s) on %s (alpha=%.2f, pprof=%v)",
+		repo.Len(), stats.FormatBytes(repo.TotalSize()), ln.Addr(), *site.Alpha, *pprofOn)
 
 	select {
 	case err := <-serveErr:

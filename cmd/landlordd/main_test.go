@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -66,5 +70,34 @@ func TestMountPprof(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/pprof/ -> %d", resp.StatusCode)
+	}
+}
+
+// TestShardKnobsRefused pins that the removed in-process sharding
+// knobs are refused at startup rather than ignored: the -cache-shards
+// flag fails flag parsing (exit 2), and a config file still carrying
+// cache_shards fails with the pinned config error (exit 1).
+func TestShardKnobsRefused(t *testing.T) {
+	bin := buildDaemon(t)
+	cfgPath := filepath.Join(t.TempDir(), "site.json")
+	if err := os.WriteFile(cfgPath, []byte(`{"cache_shards": 4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-cache-shards", "4"}, 2, "flag provided but not defined: -cache-shards"},
+		{[]string{"-config", cfgPath}, 1, "config: cache_shards was removed; delete the key (scale out with fleet agents instead)"},
+	} {
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.code {
+			t.Fatalf("landlordd %v: err %v, want exit status %d\n%s", c.args, err, c.code, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("landlordd %v output lacks %q:\n%s", c.args, c.want, out)
+		}
 	}
 }

@@ -10,25 +10,15 @@ import (
 // names the exact command. The default matches the CI run.
 var seedFlag = flag.Int64("seed", 1, "simulation seed (failures print the seed that reproduces them)")
 
-// shardsFlag sets the shard count for the sharded soak. The nightly
-// workflow randomizes it and echoes the chosen value in the repro
-// command; the default matches the per-commit CI run.
-var shardsFlag = flag.Int("shards", 4, "shard count for TestShardSoak (nightly randomizes this)")
-
 // TestCheckReplay is the reproduction entry point: a failure anywhere
 // in the harness prints `go test ./internal/check -run TestCheckReplay
 // -seed=N`, and this test re-runs the full schedule — in-memory suite,
-// the sharded-cache suite, the persistent disk-fault chaos run, and
-// the network-fault chaos run — under that seed.
+// the persistent disk-fault chaos run, the network-fault chaos run, and
+// the fleet chaos run — under that seed.
 func TestCheckReplay(t *testing.T) {
 	seed := *seedFlag
 	for _, cfg := range Suite(seed) {
 		if _, f := RunSim(cfg); f != nil {
-			t.Fatal(f)
-		}
-	}
-	for _, cfg := range ShardSuite(seed) {
-		if _, f := RunShardSim(cfg); f != nil {
 			t.Fatal(f)
 		}
 	}
@@ -87,30 +77,6 @@ func TestSimDeterministic(t *testing.T) {
 		first, second := run(cfg), run(cfg)
 		if !reflect.DeepEqual(first, second) {
 			t.Errorf("two runs of seed %d diverge:\n first: %+v\nsecond: %+v", cfg.Seed, first, second)
-		}
-	}
-}
-
-// TestShardSimDeterministic pins the sharded driver the same way: two
-// runs of each canonical sharded config must report identically, and
-// the configs must actually exercise the balancer (a suite that never
-// rebalances would let the balance mutant survive).
-func TestShardSimDeterministic(t *testing.T) {
-	for _, cfg := range ShardSuite(*seedFlag) {
-		first, f := RunShardSim(cfg)
-		if f != nil {
-			t.Fatal(f)
-		}
-		second, f := RunShardSim(cfg)
-		if f != nil {
-			t.Fatal(f)
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("two sharded runs of seed %d shards %d diverge:\n first: %+v\nsecond: %+v",
-				cfg.Seed, cfg.Shards, first, second)
-		}
-		if cfg.RebalanceEvery > 0 && first.Rebalances == 0 {
-			t.Errorf("shards=%d config never rebalanced; the balancer audit is dead weight", cfg.Shards)
 		}
 	}
 }
@@ -200,29 +166,6 @@ func TestCheckSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d requests, %d hits, %d merges, %d images, %d faults injected",
 		rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
-}
-
-// TestShardSoak soaks the sharded cache: 8 goroutines against a
-// ShardedManager over a persistent store, with worker 0 interleaving
-// checkpoints, audited rebalances, and prune passes. The shard count
-// comes from -shards so the nightly can randomize it; a failure names
-// the exact count to rerun with.
-func TestShardSoak(t *testing.T) {
-	shards := *shardsFlag
-	cfg := SoakConfig{
-		Seed: *seedFlag + 13, Requests: 20000, Workers: 8,
-		Alpha: 0.6, CapacityFrac: 0.3, Shards: shards,
-		Dir: t.TempDir(), Faults: true, MaintainEvery: 250,
-	}
-	if testing.Short() {
-		cfg.Requests = 4000
-	}
-	rep, err := RunSoak(cfg)
-	if err != nil {
-		t.Fatalf("%v\nreproduce: go test ./internal/check -run TestShardSoak -seed=%d -shards=%d", err, *seedFlag, shards)
-	}
-	t.Logf("shard soak (shards=%d): %d requests, %d hits, %d merges, %d images, %d faults injected",
-		shards, rep.Stats.Requests, rep.Stats.Hits, rep.Stats.Merges, rep.Images, rep.Injected)
 }
 
 // TestSoakMemoryOnly soaks the pure in-memory concurrent path (no

@@ -38,9 +38,6 @@ type DiffConfig struct {
 	// MinHash enables the prefilter and band index on both caches (the
 	// fast path then uses the index as its primary candidate source).
 	MinHash bool
-	// Shards > 1 runs the comparison between two ShardedManagers,
-	// exercising the interned route table against streamed routing.
-	Shards int
 	// UniformOnly draws every fresh spec from the adversarial
 	// uniform-random scheme (no dependency structure, merging defeated).
 	UniformOnly bool
@@ -58,31 +55,20 @@ type DiffReport struct {
 	StateHash string
 }
 
-// diffCache is the surface the rig drives — satisfied by both
-// *core.Manager and *core.ShardedManager, so one driver compares
-// unsharded and sharded caches alike.
-type diffCache interface {
-	Request(spec.Spec) (core.Result, error)
-	ExportState() core.ManagerState
-	CheckIntegrity() error
-	Prune(maxUtilization float64, minServed int) ([]core.SplitResult, error)
-	Stats() core.Stats
-}
-
 // DifferentialSuite returns the canonical differential configurations:
-// exact unsharded (interned subset/distance arithmetic, no sketches),
-// MinHash unsharded (band index as primary candidate source), MinHash
-// sharded (interned route table), adversarial uniform-random (dense
-// unstructured specs), and a conflict-policy run. Together they issue
-// 900 requests — within the 1000-request detection budget the mutant
-// self-test enforces for the fast-path mutants.
+// exact (interned subset/distance arithmetic, no sketches), MinHash
+// with and without prune passes (band index as primary candidate
+// source), adversarial uniform-random (dense unstructured specs), and
+// a conflict-policy run. Together they issue 900 requests — within the
+// 1000-request detection budget the mutant self-test enforces for the
+// fast-path mutants.
 func DifferentialSuite(seed int64) []DiffConfig {
 	return []DiffConfig{
 		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, PruneEvery: 90},
 		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true, PruneEvery: 90},
-		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true, Shards: 4},
+		{Seed: seed, Steps: 200, Alpha: 0.6, CapacityFrac: 0.3, MinHash: true},
 		{Seed: seed, Steps: 150, Alpha: 0.75, MinHash: true, UniformOnly: true},
-		{Seed: seed, Steps: 150, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, MinHash: true, Shards: 1},
+		{Seed: seed, Steps: 150, Alpha: 0.8, CapacityFrac: 0.5, Conflicts: true, MinHash: true},
 	}
 }
 
@@ -111,29 +97,13 @@ func RunDifferential(cfg DiffConfig) (DiffReport, *Failure) {
 	refCfg.NoBandIndex = true
 
 	var rep DiffReport
-	var ref, fast diffCache
-	if cfg.Shards > 1 {
-		refCfg.Shards = cfg.Shards
-		fastCfg.Shards = cfg.Shards
-		r, err := core.NewSharded(repo, refCfg)
-		if err != nil {
-			return rep, failf(cfg.Seed, 0, "reference sharded manager: %v", err)
-		}
-		f, err := core.NewSharded(repo, fastCfg)
-		if err != nil {
-			return rep, failf(cfg.Seed, 0, "fast sharded manager: %v", err)
-		}
-		ref, fast = r, f
-	} else {
-		r, err := core.NewManager(repo, refCfg)
-		if err != nil {
-			return rep, failf(cfg.Seed, 0, "reference manager: %v", err)
-		}
-		f, err := core.NewManager(repo, fastCfg)
-		if err != nil {
-			return rep, failf(cfg.Seed, 0, "fast manager: %v", err)
-		}
-		ref, fast = r, f
+	ref, err := core.NewManager(repo, refCfg)
+	if err != nil {
+		return rep, failf(cfg.Seed, 0, "reference manager: %v", err)
+	}
+	fast, err := core.NewManager(repo, fastCfg)
+	if err != nil {
+		return rep, failf(cfg.Seed, 0, "fast manager: %v", err)
 	}
 
 	audit := func(step int) *Failure {

@@ -278,8 +278,8 @@ func RunHAChaos(cfg HAChaosConfig) (rep HAChaosReport, fail *Failure) {
 	beatAll()
 
 	// ---- read replica over agent-0's WAL stream ----
-	newReplicaMgr := func() (*core.ShardedManager, error) {
-		return core.NewSharded(repo, core.Config{Alpha: cfg.Alpha})
+	newReplicaMgr := func() (*core.Manager, error) {
+		return core.NewManager(repo, core.Config{Alpha: cfg.Alpha})
 	}
 	replicaMgr, err := newReplicaMgr()
 	if err != nil {

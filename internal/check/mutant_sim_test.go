@@ -11,10 +11,11 @@ import (
 // TestMutantSim runs under -tags landlord_mutants with LANDLORD_MUTANT
 // naming one seeded bug in internal/core (see core/mutant_on.go). It
 // asserts the harness DETECTS the mutant: the staged suites —
-// differential (900 requests), unsharded simulation, sharded
-// simulation — must report a Failure before they run dry. It runs the
-// stages twice and requires the two failures to be byte-identical —
-// the reproducibility the printed seed promises.
+// differential (900 requests), simulation, HA chaos — must report a
+// Failure before they run dry, and the fast-path mutants must fall to
+// the differential stage. It runs the stages twice and requires the
+// two failures to be byte-identical — the reproducibility the printed
+// seed promises.
 //
 // TestMutantsAreDetected drives this from a normal build; the
 // MUTANT_FAILURE lines below are its machine-readable channel.
@@ -40,7 +41,9 @@ func TestMutantSim(t *testing.T) {
 		return "", rep.Steps
 	}
 
-	detect := func() (string, int) {
+	// detect returns the first failure, the requests issued up to it,
+	// and the stage that caught it.
+	detect := func() (string, int, string) {
 		requests := 0
 		// The fleet mutant (staleepoch) is invisible to every
 		// single-process stage — only the HA harness spawns masters —
@@ -49,7 +52,7 @@ func TestMutantSim(t *testing.T) {
 		// cheaper stage long before).
 		if mutant == "staleepoch" {
 			if msg, n := haStage(); msg != "" {
-				return msg, requests + n
+				return msg, requests + n, "hachaos"
 			} else {
 				requests += n
 			}
@@ -58,51 +61,47 @@ func TestMutantSim(t *testing.T) {
 		// (intern, popcount, lshmiss) corrupt only the interned
 		// representation, which no single-pipeline oracle can see — they
 		// fall to the reference-vs-fast comparison, within its 900
-		// requests. The original six mutants fall to the unsharded
-		// suite; the sharding mutants (route, balance) are invisible to
-		// both earlier stages — no unsharded run consults the router or
-		// the balancer — and fall to the sharded suite's route audit and
-		// budgets-sum audit.
+		// requests. The original six mutants fall to the simulation
+		// suite.
 		for _, cfg := range DifferentialSuite(*seedFlag) {
 			rep, f := RunDifferential(cfg)
 			requests += rep.Steps
 			if f != nil {
-				return f.Error(), requests
+				return f.Error(), requests, "differential"
 			}
 		}
 		for _, cfg := range Suite(*seedFlag) {
 			rep, f := RunSim(cfg)
 			requests += rep.Steps
 			if f != nil {
-				return f.Error(), requests
-			}
-		}
-		for _, cfg := range ShardSuite(*seedFlag) {
-			rep, f := RunShardSim(cfg)
-			requests += rep.Steps
-			if f != nil {
-				return f.Error(), requests
+				return f.Error(), requests, "sim"
 			}
 		}
 		if mutant != "staleepoch" {
 			if msg, n := haStage(); msg != "" {
-				return msg, requests + n
+				return msg, requests + n, "hachaos"
 			} else {
 				requests += n
 			}
 		}
-		return "", requests
+		return "", requests, ""
 	}
 
-	first, n1 := detect()
+	first, n1, stage := detect()
 	if first == "" {
 		t.Fatalf("mutant %q survived %d requests undetected", mutant, n1)
 	}
-	second, _ := detect()
+	switch mutant {
+	case "intern", "popcount", "lshmiss":
+		if stage != "differential" {
+			t.Fatalf("fast-path mutant %q escaped the differential stage; caught by %s: %s", mutant, stage, first)
+		}
+	}
+	second, _, _ := detect()
 	if first != second {
 		t.Fatalf("mutant %q failure is not reproducible under seed %d:\n first: %s\nsecond: %s",
 			mutant, *seedFlag, first, second)
 	}
-	t.Logf("mutant %q detected within %d requests", mutant, n1)
+	t.Logf("mutant %q detected by the %s stage within %d requests", mutant, stage, n1)
 	fmt.Printf("MUTANT_FAILURE %s: %s\n", mutant, first)
 }

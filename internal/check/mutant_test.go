@@ -15,7 +15,7 @@ import (
 // breaks exactly one clause of Algorithm 1 or one rule of the HA
 // protocol.
 var mutants = []string{
-	"superset", "threshold", "conflict", "lru", "capacity", "touch", "route", "balance",
+	"superset", "threshold", "conflict", "lru", "capacity", "touch",
 	"intern", "popcount", "lshmiss",
 	"staleepoch",
 }

@@ -11,12 +11,12 @@ import (
 )
 
 // SoakConfig parameterizes a concurrent soak: many goroutines
-// hammering one cache, with a shadow validating the mutation stream
-// and, optionally, a persistent store absorbing it through injected
-// filesystem faults. Unlike RunSim, a soak is not bit-reproducible —
-// goroutine interleaving is the point — so its detectors are the race
-// detector, the shadow's ordering checks, the dense-Seq audit, and the
-// final replay equivalence.
+// hammering one ConcurrentManager, with the Shadow validating the
+// mutation stream and, optionally, a persistent store absorbing it
+// through injected filesystem faults. Unlike RunSim, a soak is not
+// bit-reproducible — goroutine interleaving is the point — so its
+// detectors are the race detector, the Shadow's ordering checks, the
+// dense-Seq audit, and the final replay equivalence.
 type SoakConfig struct {
 	Seed         int64
 	Requests     int // total, divided among workers
@@ -24,11 +24,6 @@ type SoakConfig struct {
 	Alpha        float64
 	CapacityFrac float64
 	Conflicts    bool
-	// Shards > 1 soaks a ShardedManager instead of a single
-	// ConcurrentManager: the ShardShadow demultiplexes the merged
-	// commit stream by owning shard, and maintenance adds audited
-	// Rebalance passes.
-	Shards int
 	// Dir, when non-empty, wires a persistent store (fsync=always)
 	// into the hook chain; Faults arms injected write/sync failures
 	// partway through, which the store must absorb as a sticky error
@@ -36,8 +31,7 @@ type SoakConfig struct {
 	Dir    string
 	Faults bool
 	// MaintainEvery makes worker 0 run a checkpoint and a prune pass
-	// (plus a rebalance, when sharded) every that many of its own
-	// requests (0 disables).
+	// every that many of its own requests (0 disables).
 	MaintainEvery int
 }
 
@@ -46,17 +40,6 @@ type SoakReport struct {
 	Stats    core.Stats
 	Images   int
 	Injected int
-}
-
-// soakCache is the surface the soak drives, satisfied by both
-// *core.ConcurrentManager and *core.ShardedManager.
-type soakCache interface {
-	Request(spec.Spec) (core.Result, error)
-	Prune(maxUtilization float64, minServed int) ([]core.SplitResult, error)
-	Stats() core.Stats
-	Len() int
-	CheckIntegrity() error
-	ExportState() core.ManagerState
 }
 
 // RunSoak executes the soak and returns an error describing the first
@@ -72,15 +55,13 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	if cfg.Conflicts {
 		mcfg.Conflicts = spec.NewSingleVersionPolicy(repo)
 	}
-	sharded := cfg.Shards > 1
-	if sharded {
-		mcfg.Shards = cfg.Shards
-	}
 
 	var (
-		rep   SoakReport
-		store *persist.Store
-		ffs   *FaultFS
+		rep    SoakReport
+		cmgr   *core.ConcurrentManager
+		store  *persist.Store
+		ffs    *FaultFS
+		shadow *Shadow
 	)
 	if cfg.Dir != "" {
 		var plan FaultPlan
@@ -99,96 +80,21 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 		if err != nil {
 			return rep, err
 		}
-	}
-
-	// Build the cache with its validating hook chain (shadow first,
-	// store chained behind it), and the maintenance/final closures that
-	// differ between the two cache flavors.
-	var (
-		cache      soakCache
-		checkpoint func()       // nil without a store
-		rebalance  func() error // nil unless sharded
-		finalCheck func() *Failure
-		verify     func(live core.ManagerState) error
-	)
-	var next core.CommitHook
-	if store != nil {
-		next = store
-	}
-	if sharded {
-		var (
-			sm  *core.ShardedManager
-			err error
-		)
-		if store != nil {
-			sm, _, err = store.RecoverSharded(repo, mcfg)
-		} else {
-			sm, err = core.NewSharded(repo, mcfg)
-		}
+		mgr, _, err := store.Recover(repo, mcfg)
 		if err != nil {
 			return rep, err
 		}
-		shadow := NewShardShadow(repo, cfg.Shards, cfg.Seed, next)
-		if capacity > 0 {
-			shadow.SetBudgets(sm.Budgets())
-		}
-		sm.SetCommitHook(shadow)
-		cache = sm
-		if store != nil {
-			checkpoint = func() {
-				sm.WithExclusiveAll(func(ms []*core.Manager) {
-					store.Checkpoint(core.MergedState(ms)) // errors expected under faults
-				})
-			}
-		}
-		rebalance = func() error {
-			sm.Rebalance()
-			if capacity <= 0 {
-				return nil
-			}
-			budgets := sm.Budgets()
-			var sum int64
-			for _, b := range budgets {
-				sum += b
-			}
-			if sum != capacity {
-				return fmt.Errorf("check: shard budgets %v sum to %d, want the global capacity %d", budgets, sum, capacity)
-			}
-			shadow.SetBudgets(budgets)
-			return nil
-		}
-		finalCheck = shadow.Final
-		verify = func(live core.ManagerState) error { return shadow.VerifyState(mcfg, live) }
+		shadow = NewShadow(repo, capacity, cfg.Seed, mgr.CommitHook())
+		mgr.SetCommitHook(shadow)
+		cmgr = core.Concurrent(mgr)
 	} else {
-		var (
-			cmgr *core.ConcurrentManager
-			err  error
-		)
-		if store != nil {
-			var mgr *core.Manager
-			mgr, _, err = store.Recover(repo, mcfg)
-			if err != nil {
-				return rep, err
-			}
-			cmgr = core.Concurrent(mgr)
-		} else {
-			cmgr, err = core.NewConcurrent(repo, mcfg)
-			if err != nil {
-				return rep, err
-			}
+		var err error
+		cmgr, err = core.NewConcurrent(repo, mcfg)
+		if err != nil {
+			return rep, err
 		}
-		shadow := NewShadow(repo, capacity, cfg.Seed, next)
+		shadow = NewShadow(repo, capacity, cfg.Seed, nil)
 		cmgr.WithExclusive(func(m *core.Manager) { m.SetCommitHook(shadow) })
-		cache = cmgr
-		if store != nil {
-			checkpoint = func() {
-				cmgr.WithExclusive(func(m *core.Manager) {
-					store.Checkpoint(m.ExportState()) // errors expected under faults
-				})
-			}
-		}
-		finalCheck = shadow.Final
-		verify = func(live core.ManagerState) error { return shadow.VerifyState(mcfg, core.ManagerState{}, live) }
 	}
 
 	perWorker := cfg.Requests / cfg.Workers
@@ -203,7 +109,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 			stream := NewStream(repo, cfg.Seed+1000*int64(w))
 			mine := make([]uint64, 0, perWorker)
 			for i := 0; i < perWorker; i++ {
-				res, err := cache.Request(stream.Next())
+				res, err := cmgr.Request(stream.Next())
 				if err != nil {
 					errs[w] = fmt.Errorf("worker %d request %d: %w", w, i, err)
 					return
@@ -214,23 +120,19 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 				}
 				switch {
 				case w == 0 && cfg.MaintainEvery > 0 && i%cfg.MaintainEvery == cfg.MaintainEvery-1:
-					if checkpoint != nil {
-						checkpoint()
+					if store != nil {
+						cmgr.WithExclusive(func(m *core.Manager) {
+							store.Checkpoint(m.ExportState()) // errors expected under faults
+						})
 					}
-					if rebalance != nil {
-						if err := rebalance(); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-					if _, err := cache.Prune(0.5, 2); err != nil {
+					if _, err := cmgr.Prune(0.5, 2); err != nil {
 						errs[w] = fmt.Errorf("worker %d prune: %w", w, err)
 						return
 					}
 				case i%64 == 63:
 					// Exercise the read path under load.
-					cache.Stats()
-					cache.Len()
+					cmgr.Stats()
+					cmgr.Len()
 				}
 			}
 			seqs[w] = mine
@@ -244,8 +146,7 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 	}
 
 	// Every request got a unique, dense logical timestamp: Seqs are
-	// exactly 1..total (nothing else advances the clock — under
-	// sharding, every shard draws from the same source).
+	// exactly 1..total (nothing else advances the clock).
 	var all []uint64
 	for _, s := range seqs {
 		all = append(all, s...)
@@ -260,18 +161,18 @@ func RunSoak(cfg SoakConfig) (SoakReport, error) {
 		}
 	}
 
-	if f := finalCheck(); f != nil {
+	if f := shadow.Final(); f != nil {
 		return rep, f
 	}
-	if err := cache.CheckIntegrity(); err != nil {
+	if err := cmgr.CheckIntegrity(); err != nil {
 		return rep, fmt.Errorf("check: integrity after soak: %w", err)
 	}
-	if err := verify(cache.ExportState()); err != nil {
+	if err := shadow.VerifyState(mcfg, core.ManagerState{}, cmgr.ExportState()); err != nil {
 		return rep, err
 	}
 
-	rep.Stats = cache.Stats()
-	rep.Images = cache.Len()
+	rep.Stats = cmgr.Stats()
+	rep.Images = cmgr.Len()
 	if ffs != nil {
 		rep.Injected = ffs.Injected()
 		if cfg.Faults && rep.Injected == 0 {

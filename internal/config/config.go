@@ -8,6 +8,7 @@ package config
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -40,14 +41,6 @@ type Site struct {
 	CapacityGB float64 `json:"capacity_gb"`
 	// MinHash enables the candidate prefilter (default true).
 	MinHash *bool `json:"minhash,omitempty"`
-	// CacheShards partitions the cache into this many independently
-	// locked shards (default 1). Requests route to a shard by the hash
-	// of their package keys; the capacity splits across shards and the
-	// eviction balancer reshapes the split at maintenance points. Keep
-	// it stable across restarts of a durable site: reloading a cache
-	// under a different shard count re-homes only newly inserted
-	// images, costing hit locality on the old ones.
-	CacheShards *int `json:"cache_shards,omitempty"`
 
 	// RepoFile loads the repository from a JSONL file; when empty, the
 	// default synthetic repository is generated from RepoSeed.
@@ -194,9 +187,22 @@ func Load(path string) (Site, error) {
 	return site, nil
 }
 
+// errShardKeyRemoved refuses a configuration that still sets the
+// in-process shard count. Splitting one daemon's cache into shards
+// cost hit rate (each shard saw only its own images), so the key is
+// gone; json.Unmarshal would drop it silently, hence the explicit
+// probe in Parse.
+var errShardKeyRemoved = errors.New("config: cache_shards was removed; delete the key (scale out with fleet agents instead)")
+
 // Parse decodes and validates a configuration from raw bytes. Missing
 // optional fields take their defaults.
 func Parse(data []byte) (Site, error) {
+	var keys map[string]json.RawMessage
+	if json.Unmarshal(data, &keys) == nil {
+		if _, ok := keys["cache_shards"]; ok {
+			return Site{}, errShardKeyRemoved
+		}
+	}
 	site := Default()
 	if err := json.Unmarshal(data, &site); err != nil {
 		return Site{}, fmt.Errorf("parsing: %w", err)
@@ -217,9 +223,6 @@ func (s Site) Validate() error {
 	}
 	if s.CapacityGB < 0 {
 		return fmt.Errorf("capacity_gb must be non-negative")
-	}
-	if s.CacheShards != nil && *s.CacheShards < 1 {
-		return fmt.Errorf("cache_shards must be at least 1 (got %d)", *s.CacheShards)
 	}
 	if s.MaxInflight < 0 {
 		return fmt.Errorf("max_inflight must be non-negative")
@@ -459,19 +462,10 @@ func (s Site) OpenRepo() (*pkggraph.Repo, error) {
 	return pkggraph.Generate(pkggraph.DefaultGenConfig(), s.RepoSeed)
 }
 
-// Shards returns the configured cache shard count (default 1).
-func (s Site) Shards() int {
-	if s.CacheShards == nil || *s.CacheShards < 1 {
-		return 1
-	}
-	return *s.CacheShards
-}
-
 // CoreConfig assembles the manager configuration for the repository.
 func (s Site) CoreConfig(repo *pkggraph.Repo) core.Config {
 	cfg := core.Config{
 		Capacity: int64(s.CapacityGB * float64(stats.GB)),
-		Shards:   s.Shards(),
 	}
 	if s.Alpha != nil {
 		cfg.Alpha = *s.Alpha

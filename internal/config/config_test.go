@@ -1,7 +1,7 @@
 package config
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -137,35 +137,22 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// TestCacheShardsValidation pins the cache_shards contract: nil
-// defaults to 1, valid counts pass through, and counts below 1 are
-// rejected with exactly the documented message (operators grep for
-// it; DESIGN.md §11 quotes it).
-func TestCacheShardsValidation(t *testing.T) {
-	if got := Default().Shards(); got != 1 {
-		t.Fatalf("default shard count = %d, want 1", got)
-	}
-	s, err := Load(writeConfig(t, `{"cache_shards": 16}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards() != 16 {
-		t.Fatalf("cache_shards lost: %d", s.Shards())
-	}
-	if got := s.CoreConfig(nil).Shards; got != 16 {
-		t.Fatalf("CoreConfig shards = %d, want 16", got)
-	}
-	for _, n := range []int{0, -4} {
-		bad := Default()
-		bad.CacheShards = &n
-		err := bad.Validate()
-		if err == nil {
-			t.Fatalf("cache_shards=%d accepted", n)
+// TestShardKeyRemoved pins the refusal of the removed cache_shards
+// key: any value, even the old default of 1, fails Parse with exactly
+// the documented message (operators grep for it; DESIGN.md §11 quotes
+// it), and Load keeps it behind the file path.
+func TestShardKeyRemoved(t *testing.T) {
+	const want = "config: cache_shards was removed; delete the key (scale out with fleet agents instead)"
+	for _, body := range []string{`{"cache_shards": 4}`, `{"alpha": 0.5, "cache_shards": 1}`, `{"cache_shards": null}`} {
+		_, err := Parse([]byte(body))
+		if err == nil || err.Error() != want {
+			t.Errorf("Parse(%s) error = %v, want %q", body, err, want)
 		}
-		want := fmt.Sprintf("cache_shards must be at least 1 (got %d)", n)
-		if err.Error() != want {
-			t.Errorf("cache_shards=%d error = %q, want %q", n, err, want)
-		}
+	}
+	path := writeConfig(t, `{"cache_shards": 16}`)
+	_, err := Load(path)
+	if !errors.Is(err, errShardKeyRemoved) || err.Error() != "config: "+path+": "+want {
+		t.Errorf("Load error = %v, want the pinned removal error behind the path", err)
 	}
 }
 

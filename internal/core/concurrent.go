@@ -195,7 +195,8 @@ func (c *ConcurrentManager) RequestCtx(ctx context.Context, s spec.Spec) (Result
 	if img != nil {
 		hitSpan := at.Begin(telemetry.StageHit, at.Root())
 		c.hitMu.Lock()
-		clock := m.tick()
+		m.clock++
+		clock := m.clock
 		img.lastUse = clock
 		img.served(s)
 		m.stats.Requests++
@@ -348,15 +349,6 @@ func (c *ConcurrentManager) CacheEfficiency() float64 {
 
 // Alpha returns the configured merge threshold.
 func (c *ConcurrentManager) Alpha() float64 { return c.m.Alpha() }
-
-// Capacity returns the current byte budget (zero or negative means
-// unlimited). Under a ShardedManager the balancer moves it between
-// maintenance passes, so successive reads may differ.
-func (c *ConcurrentManager) Capacity() int64 {
-	c.rlock()
-	defer c.mu.RUnlock()
-	return c.m.Capacity()
-}
 
 // Snapshot captures every cached image (see Manager.Snapshot).
 func (c *ConcurrentManager) Snapshot() []ImageSnapshot {

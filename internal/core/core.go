@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pkggraph"
@@ -110,10 +109,6 @@ type Config struct {
 	// compares exported state — so this knob exists for that rig and for
 	// ablation, not for correctness.
 	NoFastPath bool
-	// Shards is the shard count used by NewSharded and the server
-	// (default 1). NewManager itself ignores it: a Manager is always a
-	// single partition.
-	Shards int
 	// Tracer, when non-nil, receives one telemetry.Event per request:
 	// the operation taken, scan/prefilter work, merge candidates with
 	// their distances, eviction churn, and wall-clock duration. A nil
@@ -242,54 +237,6 @@ type Manager struct {
 	// ordSrc issues Image.ord insertion ordinals.
 	fast   *fastPath
 	ordSrc uint64
-
-	// clockSrc, when non-nil, replaces the manager-local logical clock
-	// with a shared atomic counter: every shard of a ShardedManager
-	// draws stamps from one source, so Seq stays globally dense across
-	// shards. m.clock then tracks the last stamp THIS manager drew
-	// (which keeps CheckIntegrity's lastUse ≤ clock bound local).
-	clockSrc *atomic.Uint64
-
-	// idOffset/idStride partition the image-ID space across shards:
-	// shard i of N allocates IDs ≡ i (mod N), so ImageID mod N names
-	// the owning shard in every mutation and checkpoint without any
-	// format change. Stride 0 or 1 is the single-manager legacy.
-	idOffset uint64
-	idStride uint64
-}
-
-// stride returns the ID-allocation stride (1 for unsharded managers).
-func (m *Manager) stride() uint64 {
-	if m.idStride > 1 {
-		return m.idStride
-	}
-	return 1
-}
-
-// alignNextID rounds nextID up into the manager's ID residue class
-// after replay or import moved it arbitrarily. No-op when unsharded.
-func (m *Manager) alignNextID() {
-	st := m.stride()
-	if st == 1 {
-		return
-	}
-	if rem := m.nextID % st; rem != m.idOffset {
-		m.nextID += (m.idOffset + st - rem) % st
-	}
-}
-
-// tick draws the next logical-clock stamp: the shared atomic source
-// when this manager is a shard, the local counter otherwise. Callers
-// hold the lock that orders this manager's commits (the write lock or
-// hitMu), so m.clock is safely published.
-func (m *Manager) tick() uint64 {
-	if m.clockSrc != nil {
-		c := m.clockSrc.Add(1)
-		m.clock = c
-		return c
-	}
-	m.clock++
-	return m.clock
 }
 
 // NewManager validates cfg and creates an empty Manager over repo.
@@ -455,7 +402,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 	if s.Empty() {
 		return Result{}, errEmptySpec()
 	}
-	m.tick()
+	m.clock++
 	m.stats.Requests++
 	reqBytes := s.Size(m.repo)
 	m.stats.RequestedBytes += reqBytes
@@ -586,7 +533,7 @@ func (m *Manager) RequestTraced(s spec.Spec, at *telemetry.ActiveTrace) (Result,
 		sig:     sigStore,
 		hot:     s,
 	}
-	m.nextID += m.stride()
+	m.nextID++
 	m.appendImage(img)
 	m.indexInsert(img)
 	m.total += img.Size
@@ -841,36 +788,6 @@ func (m *Manager) evict(keep uint64) (int, int64) {
 		m.compact()
 	}
 	return n, bytes
-}
-
-// SetCapacity replaces the byte capacity (the shard's budget when this
-// manager is one shard of a ShardedManager). Zero or negative means
-// unlimited. It does not evict; callers shrink explicitly if needed.
-func (m *Manager) SetCapacity(c int64) { m.cfg.Capacity = c }
-
-// ShrinkToCapacity evicts least-recently-used images until the cache
-// fits its capacity, sparing the most-recently-used image (the same
-// image Request's eviction pass would spare, keeping the LRU-victim
-// invariant uniform for the check harness). The balancer calls this
-// after lowering a shard's budget. Evictions commit as ordinary
-// MutDelete records.
-func (m *Manager) ShrinkToCapacity() (int, int64) {
-	if m.cfg.Capacity <= 0 {
-		return 0, 0
-	}
-	var mru *Image
-	for _, img := range m.images {
-		if img == nil {
-			continue
-		}
-		if mru == nil || img.lastUse > mru.lastUse {
-			mru = img
-		}
-	}
-	if mru == nil {
-		return 0, 0
-	}
-	return m.evict(mru.ID)
 }
 
 // compact removes nil entries from the insertion-ordered slice once

@@ -21,7 +21,7 @@ func refConfig(cfg Config) Config {
 // full differential rig (internal/check): a few hundred dep-closure
 // requests through the fast and reference pipelines must agree on
 // every Result and on the final exported state. The heavier rig covers
-// sharding, conflicts, pruning, and adversarial streams.
+// conflicts, pruning, and adversarial streams.
 func TestFastPathMatchesReference(t *testing.T) {
 	repo := concRepo(t)
 	for _, mh := range []*MinHashConfig{nil, DefaultMinHash()} {

@@ -109,17 +109,9 @@ func (m *Manager) Capacity() int64 { return m.cfg.Capacity }
 // NewManager).
 func (m *Manager) Conflicts() spec.ConflictPolicy { return m.cfg.Conflicts }
 
-// Clock returns the manager's logical clock: the Seq that the next
-// request's stamp will follow. For a shard drawing stamps from a
-// shared source this is the *global* clock — the value the next stamp
-// anywhere in the sharded cache increments — which is what the oracle's
-// Seq == Clock()+1 check needs when it drives one shard at a time.
-func (m *Manager) Clock() uint64 {
-	if m.clockSrc != nil {
-		return m.clockSrc.Load()
-	}
-	return m.clock
-}
+// Clock returns the manager's logical clock: the Seq stamped on the
+// most recent request.
+func (m *Manager) Clock() uint64 { return m.clock }
 
 // MinHashEnabled reports whether the approximate candidate prefilter
 // is active. The invariant oracle (internal/check) refuses such

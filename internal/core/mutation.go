@@ -136,8 +136,7 @@ func (m *Manager) ApplyMutation(mut Mutation) error {
 		m.indexInsert(img)
 		m.total += img.Size
 		if mut.ImageID >= m.nextID {
-			m.nextID = mut.ImageID + m.stride()
-			m.alignNextID()
+			m.nextID = mut.ImageID + 1
 		}
 		m.bumpClock(mut.LastUse)
 		m.stats.Requests++

@@ -123,7 +123,6 @@ func (m *Manager) ImportState(st ManagerState) error {
 	if st.NextID > m.nextID {
 		m.nextID = st.NextID
 	}
-	m.alignNextID()
 	m.stats = st.Stats
 	return nil
 }
@@ -156,7 +155,7 @@ func (m *Manager) Restore(snaps []ImageSnapshot) error {
 			lastUse: snap.LastUse,
 			sig:     m.sign(s),
 		}
-		m.nextID += m.stride()
+		m.nextID++
 		m.appendImage(img)
 		m.indexInsert(img)
 		m.total += img.Size

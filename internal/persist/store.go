@@ -193,73 +193,25 @@ func (st *Store) scan() (segs, ckpts []uint64, err error) {
 	return segs, ckpts, nil
 }
 
-// CacheReplayer is the cache surface recovery drives: bulk state
-// import from a checkpoint plus record-at-a-time mutation replay from
-// the WAL tail. Both *core.Manager and *core.ShardedManager satisfy
-// it, so one recovery loop serves the unsharded and sharded caches.
-type CacheReplayer interface {
-	ImportState(core.ManagerState) error
-	ApplyMutation(core.Mutation) error
-}
-
 // Recover rebuilds a Manager from the newest valid checkpoint plus the
 // WAL tail, installs the store as the manager's commit hook
 // (overriding any hook already in cfg), and opens a fresh segment for
 // subsequent commits. It never fails on corrupt state — the report's
 // Warnings say what was skipped — only on I/O errors reaching the
 // directory or invalid cfg.
-func (st *Store) Recover(repo *pkggraph.Repo, cfg core.Config) (*core.Manager, *RecoveryReport, error) {
-	cfg.Commit = st
-	c, rep, err := st.RecoverWith(func() (CacheReplayer, error) { return core.NewManager(repo, cfg) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.(*core.Manager), rep, nil
-}
-
-// RecoverSharded is Recover for the sharded cache: it rebuilds a
-// ShardedManager with cfg.Shards shards from the same checkpoint + WAL
-// state directory. Checkpoints partition by ImageID mod shards
-// (strided ID allocation makes the owner recoverable from the ID with
-// no format change), so a directory written by a shards=1 daemon
-// reloads into any shard count and vice versa — though changing the
-// count across a restart re-homes only *new* images, so resident
-// images stop matching the router until they age out; keep cache_shards
-// stable for full hit retention.
-func (st *Store) RecoverSharded(repo *pkggraph.Repo, cfg core.Config) (*core.ShardedManager, *RecoveryReport, error) {
-	cfg.Commit = st
-	c, rep, err := st.RecoverWith(func() (CacheReplayer, error) { return core.NewSharded(repo, cfg) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.(*core.ShardedManager), rep, nil
-}
-
-// RecoverWith is the generic recovery loop under Recover and
-// RecoverSharded. newCache must return a fresh, empty cache on every
-// call: recovery constructs one per checkpoint candidate (abandoning
-// the half-imported cache when a checkpoint is unreadable or rejected)
-// and a final empty one when no checkpoint loads. The constructor is
-// responsible for wiring this store as the cache's commit hook; a
-// constructor error is fatal (invalid configuration), unlike corrupt
-// state, which only warns.
 //
-// WAL ordering under sharding: every shard's commit hook fires under
-// that shard's stamping lock, so the log is a merge of per-shard
-// subsequences, each strictly monotone in Seq (stamps are drawn from
-// one shared clock and are globally unique). The cross-shard
-// interleaving in the file is whatever order the hooks reached the
-// store's append lock — NOT globally Seq-sorted — and replay tolerates
-// that because mutations carry absolute values and shards own disjoint
-// ImageIDs (ID mod shards names the owner), so records from different
-// shards commute under ApplyMutation.
-func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheReplayer, *RecoveryReport, error) {
+// Replay does not need the log sorted by stamp: records carry absolute
+// values (image ID, stamp, version), so directories written by the
+// former in-process sharded cache — per-shard records interleaved out
+// of stamp order, strided image IDs — recover into one manager.
+func (st *Store) Recover(repo *pkggraph.Repo, cfg core.Config) (*core.Manager, *RecoveryReport, error) {
 	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.f != nil {
 		return nil, nil, errors.New("persist: Recover called twice")
 	}
+	cfg.Commit = st
 
 	segs, ckpts, err := st.scan()
 	if err != nil {
@@ -268,7 +220,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 	rep := &RecoveryReport{}
 
 	// Newest checkpoint that both parses and imports wins.
-	var mgr CacheReplayer
+	var mgr *core.Manager
 	var ckptSeq uint64
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		seq := ckpts[i]
@@ -277,7 +229,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 			rep.warn("checkpoint %d unreadable: %v", seq, err)
 			continue
 		}
-		m, err := newCache()
+		m, err := core.NewManager(repo, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -294,7 +246,7 @@ func (st *Store) RecoverWith(newCache func() (CacheReplayer, error)) (CacheRepla
 		break
 	}
 	if mgr == nil {
-		m, err := newCache()
+		m, err := core.NewManager(repo, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -791,10 +743,5 @@ func (st *Store) RegisterMetrics(reg *telemetry.Registry, rep *RecoveryReport) {
 		})
 }
 
-// ensure Store satisfies the hook interface and both cache flavors
-// satisfy the recovery interface.
-var (
-	_ core.CommitHook = (*Store)(nil)
-	_ CacheReplayer   = (*core.Manager)(nil)
-	_ CacheReplayer   = (*core.ShardedManager)(nil)
-)
+// ensure Store satisfies the hook interface.
+var _ core.CommitHook = (*Store)(nil)

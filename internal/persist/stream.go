@@ -120,7 +120,7 @@ type StreamCheckpoint struct {
 // published before `next` is reflected in the payload and none at or
 // after it — which the provider guarantees by capturing state and
 // reading Streamer.Next under the same exclusion that serializes
-// Publish calls (for the cache server, the all-shard exclusive lock;
+// Publish calls (for the cache server, the exclusive cache lock;
 // for the fleet master, its state mutex).
 type CheckpointFunc func() (payload []byte, next uint64, err error)
 

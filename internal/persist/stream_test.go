@@ -21,42 +21,41 @@ func streamRepo(t *testing.T) *pkggraph.Repo {
 	return testRepo(t, 40, 10)
 }
 
-// streamedPrimary is a primary-side fixture: a sharded manager whose
-// commit hook publishes every mutation into a Streamer, plus the
-// checkpoint provider capturing MergedState consistently with the
+// streamedPrimary is a primary-side fixture: a concurrent manager
+// whose commit hook publishes every mutation into a Streamer, plus the
+// checkpoint provider capturing the state consistently with the
 // stream position.
 type streamedPrimary struct {
-	mgr *core.ShardedManager
+	mgr *core.ConcurrentManager
 	str *Streamer
 }
 
 func newStreamedPrimary(t *testing.T, repo *pkggraph.Repo, ring int) *streamedPrimary {
 	t.Helper()
 	p := &streamedPrimary{}
-	cfg := core.Config{Alpha: 0.6}
-	var err error
-	p.mgr, err = core.NewSharded(repo, cfg)
-	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
-	}
-	p.str = NewStreamer(1, ring, func() ([]byte, uint64, error) {
-		var payload []byte
-		var next uint64
-		var cerr error
-		p.mgr.WithExclusiveAll(func(ms []*core.Manager) {
-			next = p.str.Next()
-			payload, cerr = json.Marshal(StreamCheckpoint{Next: next, State: core.MergedState(ms)})
-		})
-		return payload, next, cerr
-	})
-	p.mgr.SetCommitHook(commitFunc(func(mut core.Mutation) {
+	cfg := core.Config{Alpha: 0.6, Commit: commitFunc(func(mut core.Mutation) {
 		payload, err := json.Marshal(mut)
 		if err != nil {
 			t.Errorf("encoding mutation: %v", err)
 			return
 		}
 		p.str.Publish(payload)
-	}))
+	})}
+	var err error
+	p.mgr, err = core.NewConcurrent(repo, cfg)
+	if err != nil {
+		t.Fatalf("NewConcurrent: %v", err)
+	}
+	p.str = NewStreamer(1, ring, func() ([]byte, uint64, error) {
+		var payload []byte
+		var next uint64
+		var cerr error
+		p.mgr.WithExclusive(func(m *core.Manager) {
+			next = p.str.Next()
+			payload, cerr = json.Marshal(StreamCheckpoint{Next: next, State: m.ExportState()})
+		})
+		return payload, next, cerr
+	})
 	return p
 }
 
@@ -67,15 +66,15 @@ func (f commitFunc) Commit(mut core.Mutation) { f(mut) }
 
 // replica is a follower-side cache applying streamed mutations.
 type replica struct {
-	mgr *core.ShardedManager
+	mgr *core.Manager
 	fol *Follower
 }
 
 func newReplica(t *testing.T, repo *pkggraph.Repo) *replica {
 	t.Helper()
-	mgr, err := core.NewSharded(repo, core.Config{Alpha: 0.6})
+	mgr, err := core.NewManager(repo, core.Config{Alpha: 0.6})
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("NewManager: %v", err)
 	}
 	r := &replica{mgr: mgr}
 	r.fol = NewFollower(
@@ -93,7 +92,7 @@ func newReplica(t *testing.T, repo *pkggraph.Repo) *replica {
 			}
 			// A checkpoint replaces the whole state: swap in a fresh
 			// manager so resync works from any prior position.
-			fresh, err := core.NewSharded(repo, core.Config{Alpha: 0.6})
+			fresh, err := core.NewManager(repo, core.Config{Alpha: 0.6})
 			if err != nil {
 				return err
 			}
@@ -347,7 +346,7 @@ func TestStreamStoreTap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	mgr, _, err := st.RecoverSharded(repo, core.Config{Alpha: 0.6})
+	mgr, _, err := st.Recover(repo, core.Config{Alpha: 0.6})
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -394,7 +393,7 @@ func TestStreamStoreTap(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
-	rec, _, err := st2.RecoverSharded(repo, core.Config{Alpha: 0.6})
+	rec, _, err := st2.Recover(repo, core.Config{Alpha: 0.6})
 	if err != nil {
 		t.Fatalf("re-recover: %v", err)
 	}

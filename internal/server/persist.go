@@ -23,24 +23,21 @@ func NewPersistent(repo *pkggraph.Repo, cfg core.Config, store *persist.Store, c
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewRing(EventRingSize)
 	cfg.Tracer = telemetry.Multi(cfg.Tracer, ring, newOpTracer(reg))
-	sm, rep, err := store.RecoverSharded(repo, cfg)
+	mgr, rep, err := store.Recover(repo, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: sm, store: store, ckptEvery: checkpointEvery}
+	// Recovery is single-threaded; the concurrent facade goes on before
+	// any goroutine can reach the manager.
+	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: core.Concurrent(mgr), store: store, ckptEvery: checkpointEvery}
 	s.initTracing()
 	s.registerCacheMetrics()
-	s.registerShardMetrics()
 	s.registerContentionMetrics()
 	s.registerResilienceMetrics()
 	store.RegisterMetrics(reg, rep)
 	if rep.RecordsReplayed > 0 {
-		var ckptErr error
-		sm.WithExclusiveAll(func(ms []*core.Manager) {
-			_, ckptErr = store.Checkpoint(core.MergedState(ms))
-		})
-		if ckptErr != nil {
-			return nil, nil, ckptErr
+		if _, err := store.Checkpoint(mgr.ExportState()); err != nil {
+			return nil, nil, err
 		}
 	}
 	return s, rep, nil
@@ -57,22 +54,22 @@ func (s *Server) CheckpointNow() (persist.CheckpointInfo, error) {
 	}
 	var info persist.CheckpointInfo
 	var err error
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		info, err = s.checkpointAll(ms)
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		info, err = s.checkpointExclusive(m)
 	})
 	return info, err
 }
 
-// checkpointAll runs a checkpoint of the merged shard states; the
-// caller holds every shard's write lock (WithExclusiveAll), so no
-// mutation can slip between exporting the state and sealing the WAL
-// segment. The request counter resets only on success: a failed
-// checkpoint (full disk) is retried at the next threshold crossing.
-func (s *Server) checkpointAll(ms []*core.Manager) (persist.CheckpointInfo, error) {
+// checkpointExclusive runs a checkpoint; the caller holds the cache's
+// write lock (WithExclusive), so no mutation can slip between
+// exporting the state and sealing the WAL segment. The request counter
+// resets only on success: a failed checkpoint (full disk) is retried
+// at the next threshold crossing.
+func (s *Server) checkpointExclusive(m *core.Manager) (persist.CheckpointInfo, error) {
 	if s.store == nil {
 		return persist.CheckpointInfo{}, errNoStore
 	}
-	info, err := s.store.Checkpoint(core.MergedState(ms))
+	info, err := s.store.Checkpoint(m.ExportState())
 	if err == nil {
 		s.sinceCkpt.Store(0)
 	}

@@ -260,3 +260,49 @@ func TestClientRetriesExhaust(t *testing.T) {
 		t.Fatalf("GET attempted %d times, want 3 (1 + 2 retries)", gets)
 	}
 }
+
+// TestImagesOrderSurvivesRestart: /v1/images lists images by ID and
+// /v1/snapshot by last use, so both read the same before and after a
+// restart even though recovery rebuilds the manager's insertion order
+// from the checkpoint.
+func TestImagesOrderSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	_, client, _ := persistentService(t, dir, 0)
+	// Two disjoint images, then a hit that makes the older one the most
+	// recently used.
+	for _, pkgs := range [][]string{{"libA/1.0/p"}, {"libB/1.0/p"}, {"libA/1.0/p"}} {
+		if _, err := client.Request(pkgs, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := client.Images()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 || want[0].ID > want[1].ID {
+		t.Fatalf("images not listed in ID order: %+v", want)
+	}
+	wantSnaps, err := client.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, client2, _ := persistentService(t, dir, 0)
+	got, err := client2.Images()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("images after restart:\n got %+v\nwant %+v", got, want)
+	}
+	gotSnaps, err := client2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSnaps, wantSnaps) {
+		t.Errorf("snapshot after restart:\n got %+v\nwant %+v", gotSnaps, wantSnaps)
+	}
+}

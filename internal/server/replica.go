@@ -33,14 +33,14 @@ func (s *Server) EnableReplication(id uint64) error {
 		var payload []byte
 		var next uint64
 		var err error
-		// All shards exclusively held: no commit — and therefore no
+		// The cache exclusively held: no commit — and therefore no
 		// Publish — is in flight, so the captured state and the stream
 		// position agree exactly.
-		s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
+		s.cmgr.WithExclusive(func(m *core.Manager) {
 			next = s.streamer.Next()
 			payload, err = json.Marshal(persist.StreamCheckpoint{
 				Next:  next,
-				State: core.MergedState(ms),
+				State: m.ExportState(),
 			})
 		})
 		return payload, next, err
@@ -57,15 +57,13 @@ func (s *Server) EnableReplication(id uint64) error {
 // the stream themselves.
 func (s *Server) Streamer() *persist.Streamer { return s.streamer }
 
-// ExportState captures the full cache state with every shard
+// ExportState captures the full cache state with the cache
 // exclusively held — the primary side of a replica byte-identity
 // audit. Quiescent only in the sense that no commit is in flight while
 // the state is read.
 func (s *Server) ExportState() core.ManagerState {
 	var st core.ManagerState
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		st = core.MergedState(ms)
-	})
+	s.cmgr.WithExclusive(func(m *core.Manager) { st = m.ExportState() })
 	return st
 }
 
@@ -77,11 +75,13 @@ func (s *Server) handleStreamCheckpoint(w http.ResponseWriter, r *http.Request) 
 	s.streamer.ServeCheckpoint(w, r)
 }
 
-// SnapshotNow returns the cache's image snapshots for callers
-// embedding the server — the fleet agent joins it with ImagesNow to
-// gossip each image's package set.
+// SnapshotNow returns the cache's image snapshots ordered by last use
+// for callers embedding the server — the fleet agent joins it with
+// ImagesNow to gossip each image's package set.
 func (s *Server) SnapshotNow() []core.ImageSnapshot {
-	return s.cmgr.Snapshot()
+	var snaps []core.ImageSnapshot
+	s.cmgr.WithShared(func(m *core.Manager) { snaps = m.ExportState().Images })
+	return snaps
 }
 
 // WarmRequest is the POST /v1/warm payload: specs to pre-load, each a

@@ -254,8 +254,8 @@ func (s *Server) ProbeDegradedNow() error {
 	}
 	s.transition(StateRecovering)
 	var healErr error
-	s.cmgr.WithExclusiveAll(func(ms []*core.Manager) {
-		healErr = s.store.Heal(core.MergedState(ms))
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		healErr = s.store.Heal(m.ExportState())
 	})
 	if healErr != nil {
 		s.transition(StateDegraded)

@@ -6,16 +6,13 @@
 // in; administrators read stats and trigger maintenance (prune)
 // passes.
 //
-// The service runs a concurrent request pipeline: the cache is a
-// core.ShardedManager — cache_shards independently locked shards
-// (default 1), each a ConcurrentManager serving hits under a shared
-// read lock while merges, inserts, and maintenance serialize on that
-// shard's write lock. Requests route to their shard by the hash of
-// their package keys, so with more than one shard even slow-path
-// traffic proceeds in parallel across shards. Read-only endpoints
-// (/v1/stats, /v1/images, the cache gauges on /metrics) ride the read
-// path and never block request traffic. SetMaxInflight optionally
-// bounds concurrently processed requests.
+// The service runs a concurrent request pipeline: the Manager sits
+// behind a core.ConcurrentManager, so hits — the dominant operation in
+// the paper's operational zone — are served in parallel under a read
+// lock while merges, inserts, and maintenance serialize on the write
+// lock. Read-only endpoints (/v1/stats, /v1/images, the cache gauges
+// on /metrics) ride the read path and never block request traffic.
+// SetMaxInflight optionally bounds concurrently processed requests.
 package server
 
 import (
@@ -24,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -41,8 +39,8 @@ import (
 // /v1/events.
 const EventRingSize = 4096
 
-// Server wraps a sharded concurrent cache behind an HTTP API. Create
-// with New, mount via Handler.
+// Server wraps a ConcurrentManager behind an HTTP API. Create with
+// New, mount via Handler.
 type Server struct {
 	repo *pkggraph.Repo
 	reg  *telemetry.Registry
@@ -53,7 +51,7 @@ type Server struct {
 	spans  *telemetry.SpanTracer
 	traces *telemetry.TraceRing
 
-	cmgr *core.ShardedManager
+	cmgr *core.ConcurrentManager
 	// sem, when non-nil, bounds concurrently processed /v1/request
 	// calls (SetMaxInflight). Acquire = send, release = receive.
 	sem chan struct{}
@@ -87,14 +85,13 @@ func New(repo *pkggraph.Repo, cfg core.Config) (*Server, error) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewRing(EventRingSize)
 	cfg.Tracer = telemetry.Multi(cfg.Tracer, ring, newOpTracer(reg))
-	cmgr, err := core.NewSharded(repo, cfg)
+	cmgr, err := core.NewConcurrent(repo, cfg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{repo: repo, reg: reg, ring: ring, cmgr: cmgr}
 	s.initTracing()
 	s.registerCacheMetrics()
-	s.registerShardMetrics()
 	s.registerContentionMetrics()
 	s.registerResilienceMetrics()
 	return s, nil
@@ -220,39 +217,6 @@ func (s *Server) registerCacheMetrics() {
 	})
 }
 
-// registerShardMetrics exposes the sharded core: per-shard residency
-// and budget gauges (labelled by shard index) plus the eviction
-// balancer's counters. With cache_shards=1 the series still exist —
-// one shard whose budget is the whole capacity — so dashboards need no
-// special case for sharded sites.
-func (s *Server) registerShardMetrics() {
-	for i := 0; i < s.cmgr.NumShards(); i++ {
-		shard := s.cmgr.Shard(i)
-		label := telemetry.Label{Key: "shard", Value: strconv.Itoa(i)}
-		s.reg.GaugeFunc("landlord_cache_shard_images", "Images cached on this shard",
-			func() float64 { return float64(shard.Len()) }, label)
-		s.reg.GaugeFunc("landlord_cache_shard_bytes", "Bytes cached on this shard",
-			func() float64 { return float64(shard.TotalData()) }, label)
-		s.reg.GaugeFunc("landlord_cache_shard_budget_bytes",
-			"This shard's byte budget (the balancer reshapes it; 0 = unlimited)",
-			func() float64 { return float64(shard.Capacity()) }, label)
-	}
-	bal := func(f func(st core.BalancerStats) float64) func() float64 {
-		return func() float64 { return f(s.cmgr.BalancerStats()) }
-	}
-	s.reg.GaugeFunc("landlord_cache_rebalances_total", "Completed eviction-balancer passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.Rebalances) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_budget_moved_bytes_total",
-		"Bytes of budget reassigned between shards by the balancer",
-		bal(func(st core.BalancerStats) float64 { return float64(st.BudgetMoved) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_evicted_images_total",
-		"Images evicted by post-rebalance shrink passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.Evicted) }))
-	s.reg.GaugeFunc("landlord_cache_rebalance_evicted_bytes_total",
-		"Bytes evicted by post-rebalance shrink passes",
-		bal(func(st core.BalancerStats) float64 { return float64(st.EvictedBytes) }))
-}
-
 // RequestBody is the POST /v1/request payload.
 type RequestBody struct {
 	// Packages are the required package keys.
@@ -369,7 +333,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.cmgr.Snapshot())
+	writeJSON(w, http.StatusOK, s.SnapshotNow())
 }
 
 // handleRestore loads a previously saved snapshot. Like core.Restore
@@ -385,14 +349,15 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "decoding snapshot: %v", err)
 		return
 	}
-	// Restore is not WAL-logged (it rewrites the whole state), so
-	// checkpoint immediately — still inside the restore's all-shard
-	// critical section — to close the durability hole. Checkpoint
-	// failure is tolerable: the in-memory restore succeeded, and
-	// recovery skips WAL records that reference the missing images.
-	err := s.cmgr.RestoreThen(snaps, func(ms []*core.Manager) {
-		if s.store != nil {
-			s.checkpointAll(ms)
+	var err error
+	s.cmgr.WithExclusive(func(m *core.Manager) {
+		err = m.Restore(snaps)
+		if err == nil && s.store != nil {
+			// Restore is not WAL-logged (it rewrites the whole state), so
+			// checkpoint immediately to close the durability hole. Failure
+			// is tolerable: the in-memory restore succeeded, and recovery
+			// skips WAL records that reference the missing images.
+			s.checkpointExclusive(m)
 		}
 	})
 	if err != nil {
@@ -594,24 +559,12 @@ func (s *Server) writeDegradedHit(w http.ResponseWriter, res core.Result, packag
 
 // StatsNow snapshots the cache's aggregate state — the /v1/stats
 // payload — for callers embedding the server (the daemon logs it
-// periodically and on shutdown). It reads with every shard quiescent
-// under shared locks, so the snapshot is internally consistent across
-// shards but never blocks requests for long.
+// periodically and on shutdown). It reads under the shared lock, so
+// the snapshot is internally consistent but never blocks requests.
 func (s *Server) StatsNow() StatsResponse {
 	var out StatsResponse
-	s.cmgr.WithSharedAll(func(ms []*core.Manager) {
-		st := core.MergedStats(ms)
-		var images int
-		var total int64
-		for _, m := range ms {
-			images += m.Len()
-			total += m.TotalData()
-		}
-		unique := core.UnionData(ms)
-		eff := 1.0
-		if total > 0 {
-			eff = float64(unique) / float64(total)
-		}
+	s.cmgr.WithShared(func(m *core.Manager) {
+		st := m.Stats()
 		out = StatsResponse{
 			Requests:            st.Requests,
 			Hits:                st.Hits,
@@ -621,10 +574,10 @@ func (s *Server) StatsNow() StatsResponse {
 			Splits:              st.Splits,
 			BytesWritten:        st.BytesWritten,
 			RequestedBytes:      st.RequestedBytes,
-			Images:              images,
-			TotalData:           total,
-			UniqueData:          unique,
-			CacheEfficiency:     eff,
+			Images:              m.Len(),
+			TotalData:           m.TotalData(),
+			UniqueData:          m.UniqueData(),
+			CacheEfficiency:     m.CacheEfficiency(),
 			ContainerEfficiency: st.MeanContainerEfficiency(),
 		}
 	})
@@ -639,11 +592,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.StatsNow())
 }
 
-// ImagesNow lists the cached images for callers embedding the server:
-// the fleet agent rebuilds its gossip directory from it every
-// heartbeat. Reads ride the shared lock and never block requests.
+// ImagesNow lists the cached images ordered by ID for callers
+// embedding the server: the fleet agent rebuilds its gossip directory
+// from it every heartbeat. Reads ride the shared lock and never block
+// requests.
 func (s *Server) ImagesNow() []ImageInfo {
 	imgs := s.cmgr.Images()
+	sort.Slice(imgs, func(a, b int) bool { return imgs[a].ID < imgs[b].ID })
 	out := make([]ImageInfo, 0, len(imgs))
 	for _, img := range imgs {
 		out = append(out, ImageInfo{
@@ -759,13 +714,4 @@ func (s *Server) PruneNow(maxUtilization float64, minServed int) int {
 		return 0
 	}
 	return len(splits)
-}
-
-// RebalanceNow runs one eviction-balancer pass, reshaping the
-// per-shard byte budgets toward the current load and shrinking any
-// shard left over its new budget. A no-op for single-shard or
-// unlimited caches; the daemon calls it on its maintenance cadence.
-// Returns the cumulative balancer counters.
-func (s *Server) RebalanceNow() core.BalancerStats {
-	return s.cmgr.Rebalance()
 }
